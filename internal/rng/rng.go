@@ -11,22 +11,32 @@ package rng
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Stream is a deterministic pseudo-random stream with the distribution
 // helpers the simulation model needs. It is not safe for concurrent use;
 // the simulator is single-threaded by design.
+//
+// The generator is the stdlib PCG (math/rand/v2), whose whole state is two
+// words embedded in the Stream, so a simulation can afford one stream per
+// node even at fleet scale.
 type Stream struct {
-	r *rand.Rand
-	// permBuf backs Choose; reused across calls so per-task placement
-	// draws do not allocate.
-	permBuf []int
+	src rand.PCG
+	r   rand.Rand // draws from src
+	// buf backs Choose: k output slots plus a k-entry table of displaced
+	// positions and their values. Reused across calls so per-task
+	// placement draws do not allocate.
+	buf []int
 }
 
-// NewStream returns a stream seeded with seed.
+// NewStream returns a stream seeded with seed. The two PCG seed words are
+// the next two SplitMix64 outputs after seed.
 func NewStream(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(splitmix64(&seed))))}
+	s := &Stream{}
+	s.src.Seed(splitmix64(&seed), splitmix64(&seed))
+	s.r = *rand.New(&s.src)
+	return s
 }
 
 // Splitter derives statistically independent child streams from one master
@@ -96,45 +106,61 @@ func (s *Stream) LogUniform(lo, hi float64) float64 {
 }
 
 // IntN returns a uniform integer in [0, n). n must be positive.
-func (s *Stream) IntN(n int) int { return s.r.Intn(n) }
+func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
 
 // IntRange returns a uniform integer in the closed interval [lo, hi].
 func (s *Stream) IntRange(lo, hi int) int {
 	if lo > hi {
 		panic("rng: int range inverted")
 	}
-	return lo + s.r.Intn(hi-lo+1)
+	return lo + s.r.IntN(hi-lo+1)
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
 // Choose returns k distinct integers drawn uniformly from [0, n) in random
-// order. It panics if k > n, which would indicate an impossible request
-// such as placing more parallel subtasks than there are nodes.
+// order: every ordered k-subset is equally likely. It panics if k > n,
+// which would indicate an impossible request such as placing more
+// parallel subtasks than there are nodes.
 //
 // The returned slice aliases a per-stream scratch buffer and is only
 // valid until the next Choose call on the same stream; callers that need
-// to keep it must copy. The underlying draws are exactly those of Perm
-// (the inside-out Fisher–Yates of math/rand), so Choose consumes the same
-// random numbers it always has.
+// to keep it must copy.
+//
+// Choose is a sparse partial Fisher–Yates shuffle: for i < k it draws
+// j = i + IntN(n-i) and swaps positions i and j of a virtual identity
+// array of length n. Position i is final once swapped, so only positions
+// beyond i that some swap displaced are stored, in a table of at most k
+// entries. The cost is O(k) space and k IntN draws, whatever n is; the
+// table lookup is a linear scan, which for fan-outs of a few nodes beats
+// any hashing.
 func (s *Stream) Choose(n, k int) []int {
 	if k > n {
 		panic("rng: cannot choose more elements than available")
 	}
-	if cap(s.permBuf) < n {
-		s.permBuf = make([]int, n)
+	if cap(s.buf) < 3*k {
+		s.buf = make([]int, 3*k)
 	}
-	m := s.permBuf[:n]
-	// Mirror math/rand's Perm loop exactly, including the i=0 iteration:
-	// Intn(1) still consumes a draw, so starting at i=1 would shift every
-	// subsequent random number.
-	for i := 0; i < n; i++ {
-		j := s.r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
+	out, pos, val := s.buf[:k], s.buf[k:2*k], s.buf[2*k:3*k]
+	m := 0 // table entries: position pos[t] holds val[t]
+	for i := 0; i < k; i++ {
+		j := i + s.r.IntN(n-i)
+		vi, vj, jt := i, j, m
+		for t := 0; t < m; t++ {
+			if pos[t] == i {
+				vi = val[t]
+			}
+			if pos[t] == j {
+				vj, jt = val[t], t
+			}
+		}
+		// Swap positions i and j. Position i is never read again, so
+		// only j's new value is stored (harmlessly so when j == i).
+		out[i] = vj
+		pos[jt], val[jt] = j, vi
+		if jt == m {
+			m++
+		}
 	}
-	return m[:k]
+	return out
 }
 
 // PoissonProcess generates the arrival instants of a Poisson process with

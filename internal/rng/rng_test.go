@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -237,13 +238,179 @@ func TestPoissonProcessDisabled(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestChooseFullIsPermutation(t *testing.T) {
 	s := NewStream(13)
-	p := s.Perm(10)
+	p := append([]int(nil), s.Choose(10, 10)...)
 	sort.Ints(p)
 	for i, v := range p {
 		if i != v {
-			t.Fatalf("Perm missing %d", i)
+			t.Fatalf("Choose(10, 10) missing %d", i)
 		}
+	}
+}
+
+// chiSquareCritical returns the upper 0.1% point of the chi-square
+// distribution with df degrees of freedom (Wilson–Hilferty), so a
+// uniform sampler fails a test about once per thousand seeds.
+func chiSquareCritical(df int) float64 {
+	const z = 3.0902 // standard normal 0.999 quantile
+	d := float64(df)
+	c := 2 / (9 * d)
+	return d * math.Pow(1-c+z*math.Sqrt(c), 3)
+}
+
+func chiSquare(counts []int, expected float64) float64 {
+	x := 0.0
+	for _, c := range counts {
+		diff := float64(c) - expected
+		x += diff * diff / expected
+	}
+	return x
+}
+
+// TestChooseOrderedUniform checks that every ordered 3-subset of [0, 7)
+// is equally likely. A sampler that is uniform over sets but not over
+// orders (Floyd's algorithm alone) fails this.
+func TestChooseOrderedUniform(t *testing.T) {
+	const n, k, cells, perCell = 7, 3, 7 * 6 * 5, 1000
+	s := NewStream(14)
+	counts := make([]int, n*n*n)
+	for i := 0; i < cells*perCell; i++ {
+		c := s.Choose(n, k)
+		counts[(c[0]*n+c[1])*n+c[2]]++
+	}
+	seen := make([]int, 0, cells)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			for c := 0; c < n; c++ {
+				idx := (a*n+b)*n + c
+				if a == b || b == c || a == c {
+					if counts[idx] != 0 {
+						t.Fatalf("tuple (%d,%d,%d) repeats an element", a, b, c)
+					}
+					continue
+				}
+				seen = append(seen, counts[idx])
+			}
+		}
+	}
+	if len(seen) != cells {
+		t.Fatalf("%d ordered tuples, want %d", len(seen), cells)
+	}
+	x, crit := chiSquare(seen, perCell), chiSquareCritical(cells-1)
+	t.Logf("chi-square %.1f over %d df (critical %.1f)", x, cells-1, crit)
+	if x > crit {
+		t.Errorf("chi-square %.1f over %d df exceeds %.1f", x, cells-1, crit)
+	}
+}
+
+// TestChooseMarginalUniform checks that at fleet scale every node is
+// picked equally often, overall and at each output position.
+func TestChooseMarginalUniform(t *testing.T) {
+	const n, k, trials, bins = 10000, 4, 250000, 100
+	s := NewStream(15)
+	perNode := make([]int, n)
+	perPos := make([][]int, k)
+	for p := range perPos {
+		perPos[p] = make([]int, bins)
+	}
+	for i := 0; i < trials; i++ {
+		for p, v := range s.Choose(n, k) {
+			perNode[v]++
+			perPos[p][v*bins/n]++
+		}
+	}
+	if x, crit := chiSquare(perNode, float64(trials*k)/n), chiSquareCritical(n-1); x > crit {
+		t.Errorf("node frequencies: chi-square %.1f over %d df exceeds %.1f", x, n-1, crit)
+	}
+	for p, counts := range perPos {
+		if x, crit := chiSquare(counts, float64(trials)/bins), chiSquareCritical(bins-1); x > crit {
+			t.Errorf("position %d: chi-square %.1f over %d df exceeds %.1f", p, x, bins-1, crit)
+		}
+	}
+}
+
+func TestChooseConsumesKDraws(t *testing.T) {
+	a, b := NewStream(16), NewStream(16)
+	a.Choose(10000, 4)
+	for i := 0; i < 4; i++ {
+		b.IntN(2)
+	}
+	if av, bv := a.Float64(), b.Float64(); av != bv {
+		t.Errorf("after Choose(10000, 4) the stream is not 4 draws in: %v vs %v", av, bv)
+	}
+}
+
+func TestChooseNoAllocsAndSmallScratch(t *testing.T) {
+	s := NewStream(17)
+	s.Choose(10000, 4)
+	if allocs := testing.AllocsPerRun(1000, func() { s.Choose(10000, 4) }); allocs != 0 {
+		t.Errorf("warmed Choose(10000, 4) allocates %v times per call", allocs)
+	}
+	if c := cap(s.buf); c > 3*4 {
+		t.Errorf("Choose(10000, 4) scratch holds %d ints, want at most 12", c)
+	}
+}
+
+// TestSplitterSiblingsIndependent checks sibling streams pairwise: their
+// draws are uncorrelated, and jointly uniform over a 10x10 grid.
+func TestSplitterSiblingsIndependent(t *testing.T) {
+	const draws, grid = 100000, 10
+	sp := NewSplitter(18)
+	streams := make([]*Stream, 4)
+	for i := range streams {
+		streams[i] = sp.Stream()
+	}
+	xs := make([][]float64, len(streams))
+	for i, s := range streams {
+		xs[i] = make([]float64, draws)
+		for d := range xs[i] {
+			xs[i][d] = s.Float64()
+		}
+	}
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			var sa, sb, sab, saa, sbb float64
+			joint := make([]int, grid*grid)
+			for d := 0; d < draws; d++ {
+				a, b := xs[i][d], xs[j][d]
+				sa, sb, sab, saa, sbb = sa+a, sb+b, sab+a*b, saa+a*a, sbb+b*b
+				joint[int(a*grid)*grid+int(b*grid)]++
+			}
+			n := float64(draws)
+			r := (sab - sa*sb/n) / math.Sqrt((saa-sa*sa/n)*(sbb-sb*sb/n))
+			if math.Abs(r) > 4/math.Sqrt(n) {
+				t.Errorf("siblings %d and %d correlate: r = %.4f", i, j, r)
+			}
+			if x, crit := chiSquare(joint, n/(grid*grid)), chiSquareCritical(grid*grid-1); x > crit {
+				t.Errorf("siblings %d and %d: joint chi-square %.1f exceeds %.1f", i, j, x, crit)
+			}
+		}
+	}
+}
+
+// Benchmark results land in package-level sinks so the compiler cannot
+// drop the measured calls.
+var (
+	sinkInts   []int
+	sinkStream *Stream
+)
+
+func BenchmarkChoose(b *testing.B) {
+	for _, n := range []int{6, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := NewStream(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkInts = s.Choose(n, 4)
+			}
+		})
+	}
+}
+
+func BenchmarkNewStream(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkStream = NewStream(uint64(i))
 	}
 }
