@@ -64,7 +64,7 @@ func (t *Telemetry) Snapshot(tailSpans int) *Snapshot {
 		Edges:        t.Edges(),
 		Exemplars:    t.ex.snapshot(),
 		OpenSpans:    len(t.open) + len(t.evicted),
-		Retained:     t.rlen,
+		Retained:     t.spans.len(),
 		TotalSpans:   t.nextID,
 		SamplerTicks: t.Ticks(),
 		MaxSpans:     t.opts.MaxSpans,

@@ -132,14 +132,10 @@ type Telemetry struct {
 	latenessSk *SketchInstrument
 	latencySk  *SketchInstrument
 
-	// The span store is a ring of at most MaxSpans entries: ring[rstart]
-	// is the oldest retained span and indices wrap modulo len(ring).
-	// The backing array grows geometrically up to MaxSpans, so small
-	// runs stay small.
-	ring   []span
-	rstart int
-	rlen   int
-	open   map[*task.Task]int // task -> ring slot of its open span
+	// The span store keeps the latest MaxSpans spans. Its slots never
+	// move, so open indexes each open span by its slot.
+	spans ring[span]
+	open  map[*task.Task]int // task -> ring slot of its open span
 	// evicted holds spans pushed out of the ring while still open, so
 	// their eventual close still feeds the lateness series and exemplar
 	// selection — aggregates are exact under any retention budget. It is
@@ -152,14 +148,13 @@ type Telemetry struct {
 	// to the id of its most recent span — unlike the open index it
 	// survives span close and ring eviction, so an edge from a finished
 	// predecessor still resolves; entries retire when the owning global
-	// task does. edges is a ring bounded by MaxSpans. injectID marks an
-	// open chaos-burst window (see BeginInject).
-	lastSpan     map[*task.Task]uint64
-	edges        []Record
-	estart       int
-	injectID     uint64
-	edgeUnspan   *Counter // edges dropped: endpoint task never spanned
-	edgeEvicted  *Counter // edges dropped: ring at the MaxSpans budget
+	// task does. edges keeps the latest MaxSpans edges. injectID marks
+	// an open chaos-burst window (see BeginInject).
+	lastSpan    map[*task.Task]uint64
+	edges       ring[edge]
+	injectID    uint64
+	edgeUnspan  *Counter // edges dropped: endpoint task never spanned
+	edgeEvicted *Counter // edges dropped: ring at the MaxSpans budget
 
 	ex *exemplarStore
 
@@ -220,7 +215,8 @@ func New(o Options) *Telemetry {
 		latencySk: reg.Sketch("sda_latency_quantiles", "",
 			"span duration end - start (mergeable quantile sketch)"),
 
-		ring:     make([]span, min(o.MaxSpans, 1024)),
+		spans:    ring[span]{max: o.MaxSpans},
+		edges:    ring[edge]{max: o.MaxSpans},
 		open:     make(map[*task.Task]int, 256),
 		evicted:  make(map[*task.Task]span),
 		lastSpan: make(map[*task.Task]uint64, 256),
@@ -234,14 +230,6 @@ func New(o Options) *Telemetry {
 // telemetry records from now on. The simulator calls it before the run
 // starts; standalone uses default to rep 0.
 func (t *Telemetry) SetReplication(rep int) { t.rep = rep }
-
-// min is a tiny helper (the go.mod floor predates the builtin).
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Registry exposes the metrics registry (for tests and custom exports).
 func (t *Telemetry) Registry() *Registry { return t.reg }
@@ -341,17 +329,11 @@ func (t *Telemetry) OnRelease(tk, root *task.Task, budget simtime.Time) {
 	t.slackHist.Observe(slack)
 	t.slackSk.Observe(slack)
 
-	retry := false
-	if idx, ok := t.open[tk]; ok {
-		// Re-release after a local-scheduler abort: close the failed
-		// trial as aborted and open a fresh span for the retry.
+	// Re-release after a local-scheduler abort: close the failed trial
+	// as aborted and open a fresh span for the retry.
+	retry := t.closeOpen(tk, now, false, true, false)
+	if retry {
 		t.resubmits.Inc()
-		retry = true
-		t.closeSpan(idx, now, false, true)
-		delete(t.open, tk)
-	} else if t.closeEvicted(tk, now, false, true) {
-		t.resubmits.Inc()
-		retry = true
 	}
 	// The failed trial's span id, whether its span is still retained or
 	// was evicted — the source of the retry edge below.
@@ -361,7 +343,9 @@ func (t *Telemetry) OnRelease(tk, root *task.Task, budget simtime.Time) {
 	if tk == root {
 		t.inflight++
 	} else if ri, ok := t.open[root]; ok {
-		rootID = t.ring[ri].id
+		rootID = t.spans.at(ri).id
+	} else if sp, ok := t.evicted[root]; ok {
+		rootID = sp.id
 	}
 	kind := "stage"
 	nodeID := -1
@@ -439,35 +423,21 @@ func (t *Telemetry) RecordCause(kind string, from, to, root *task.Task) {
 	t.addEdge(kind, fid, tid, t.lastSpan[root], t.now(), to.Name)
 }
 
-// addEdge appends one edge record to the bounded edge ring, evicting the
-// oldest edge once the MaxSpans budget is reached.
+// addEdge appends one edge to the bounded edge ring, evicting the oldest
+// edge once the MaxSpans budget is reached.
 func (t *Telemetry) addEdge(kind string, from, to, root uint64, at float64, label string) {
-	rec := Record{
-		Schema: SchemaVersion,
-		Type:   "edge",
-		Kind:   kind,
-		Task:   label,
-		Node:   -1,
-		ID:     to,
-		Root:   root,
-		Rep:    t.rep,
-		At:     F(at),
-		From:   from,
+	e := edge{kind: kind, task: label, from: from, to: to, root: root, rep: t.rep, at: at}
+	if _, _, evicted := t.edges.push(e); evicted {
+		t.edgeEvicted.Inc()
 	}
-	if len(t.edges) < t.opts.MaxSpans {
-		t.edges = append(t.edges, rec)
-		return
-	}
-	t.edges[t.estart] = rec
-	t.estart = (t.estart + 1) % len(t.edges)
-	t.edgeEvicted.Inc()
 }
 
 // Edges returns the retained causal-edge records, oldest first.
 func (t *Telemetry) Edges() []Record {
-	out := make([]Record, 0, len(t.edges))
-	for i := 0; i < len(t.edges); i++ {
-		out = append(out, t.edges[(t.estart+i)%len(t.edges)])
+	out := make([]Record, t.edges.len())
+	ats := make([]float64, len(out))
+	for i := range out {
+		out[i] = t.edges.nth(i).record(&ats[i])
 	}
 	return out
 }
@@ -477,10 +447,6 @@ func (t *Telemetry) Edges() []Record {
 func (t *Telemetry) DroppedEdges() uint64 {
 	return t.edgeUnspan.Value() + t.edgeEvicted.Value()
 }
-
-// slot translates a logical span position (0 = oldest retained) to its
-// ring index.
-func (t *Telemetry) slot(i int) int { return (t.rstart + i) % len(t.ring) }
 
 // pushSpan records a span in the ring and returns its slot, evicting the
 // oldest retained span when the ring is at the MaxSpans budget. Open
@@ -495,62 +461,43 @@ func (t *Telemetry) pushSpan(owner *task.Task, sp span) int {
 	if owner != nil {
 		t.lastSpan[owner] = sp.id
 	}
-	var s int
-	switch {
-	case t.rlen < len(t.ring):
-		s = t.slot(t.rlen)
-		t.rlen++
-	case len(t.ring) < t.opts.MaxSpans:
-		// Grow the backing array geometrically up to the budget,
-		// unwrapping the ring so rstart resets to 0.
-		grown := make([]span, min(2*len(t.ring), t.opts.MaxSpans))
-		for i := 0; i < t.rlen; i++ {
-			grown[i] = t.ring[t.slot(i)]
-		}
-		// Slot indices changed; rebuild the open-span index.
-		t.ring, t.rstart = grown, 0
-		for i := 0; i < t.rlen; i++ {
-			if t.ring[i].open && t.ring[i].owner != nil {
-				t.open[t.ring[i].owner] = i
-			}
-		}
-		s = t.rlen
-		t.rlen++
-	default:
-		s = t.rstart
-		t.rstart = (t.rstart + 1) % len(t.ring)
-		old := &t.ring[s]
+	s, old, evicted := t.spans.push(sp)
+	if evicted {
 		if old.open && old.owner != nil && t.open[old.owner] == s {
 			delete(t.open, old.owner)
 			// Keep the evicted open span aside so its close still feeds
 			// the lateness series and exemplars; only the log entry is
 			// dropped.
-			t.evicted[old.owner] = *old
+			t.evicted[old.owner] = old
 		}
 		t.droppedSpans.Inc()
 	}
-	t.ring[s] = sp
 	if sp.open && owner != nil {
 		t.open[owner] = s
 	}
 	return s
 }
 
-// closeSpan resolves the span in ring slot s at instant end.
-func (t *Telemetry) closeSpan(s int, end float64, missed, aborted bool) {
-	t.finishSpan(&t.ring[s], end, missed, aborted)
-}
-
-// closeEvicted resolves tk's span when the ring evicted it while still
-// open, reporting whether one existed. The lateness observations and
-// exemplar candidacy land as usual; only the log entry is gone.
-func (t *Telemetry) closeEvicted(tk *task.Task, end float64, missed, aborted bool) bool {
-	sp, ok := t.evicted[tk]
-	if !ok {
+// closeOpen resolves tk's open span at instant end and reports whether
+// tk had one. A span the ring evicted while open is resolved too: the
+// lateness observations and exemplar candidacy land as usual; only the
+// log entry is gone. With byVDL the verdict is whether end passed the
+// span's own virtual deadline, not missed.
+func (t *Telemetry) closeOpen(tk *task.Task, end float64, missed, aborted, byVDL bool) bool {
+	var sp *span
+	if s, ok := t.open[tk]; ok {
+		delete(t.open, tk)
+		sp = t.spans.at(s)
+	} else if ev, ok := t.evicted[tk]; ok {
+		delete(t.evicted, tk)
+		sp = &ev
+	} else {
 		return false
 	}
-	delete(t.evicted, tk)
-	t.finishSpan(&sp, end, missed, aborted)
+	if byVDL {
+		missed = end > sp.vdl
+	}
+	t.finishSpan(sp, end, missed, aborted)
 	return true
 }
 
@@ -633,7 +580,7 @@ func (t *Telemetry) RecordLocal(tk *task.Task, missed bool) {
 		boost:  tk.PriorityBoost,
 	}
 	s := t.pushSpan(nil, sp)
-	t.ex.observeClose(&t.ring[s])
+	t.ex.observeClose(t.spans.at(s))
 }
 
 // RecordSubtask implements procmgr.Recorder: it closes the subtask's
@@ -643,12 +590,7 @@ func (t *Telemetry) RecordSubtask(tk *task.Task, missed bool) {
 	if missed {
 		t.missedSubtask.Inc()
 	}
-	if idx, ok := t.open[tk]; ok {
-		t.closeSpan(idx, t.endOf(tk), missed, tk.Aborted)
-		delete(t.open, tk)
-	} else {
-		t.closeEvicted(tk, t.endOf(tk), missed, tk.Aborted)
-	}
+	t.closeOpen(tk, t.endOf(tk), missed, tk.Aborted, false)
 }
 
 // RecordGlobal implements procmgr.Recorder: it closes the root span and
@@ -663,29 +605,10 @@ func (t *Telemetry) RecordGlobal(root *task.Task, missed bool) {
 	delete(t.dagShape, root)
 	root.Walk(func(n *task.Task) {
 		delete(t.lastSpan, n)
-		idx, ok := t.open[n]
-		if !ok {
-			if sp, ev := t.evicted[n]; ev {
-				delete(t.evicted, n)
-				end := t.endOf(n)
-				m := missed
-				if n != root {
-					m = end > sp.vdl
-				}
-				t.finishSpan(&sp, end, m, root.Aborted)
-			}
-			return
-		}
-		if n == root {
-			t.closeSpan(idx, t.endOf(n), missed, root.Aborted)
-		} else {
-			// A stage still open when the run resolves was cut short by
-			// an abort (or is an interior node whose children resolved
-			// it); judge it by its own virtual deadline.
-			end := t.endOf(n)
-			t.closeSpan(idx, end, end > t.ring[idx].vdl, root.Aborted)
-		}
-		delete(t.open, n)
+		// A stage still open when the run resolves was cut short by an
+		// abort (or is an interior node whose children resolved it);
+		// judge it by its own virtual deadline.
+		t.closeOpen(n, t.endOf(n), missed, root.Aborted, n != root)
 	})
 }
 
@@ -718,8 +641,8 @@ func (t *Telemetry) Summary() string {
 		t.doneGlobal.Value(), t.missedGlobal.Value(),
 		t.doneSubtask.Value(), t.missedSubtask.Value())
 	fmt.Fprintf(&b, "spans        %d recorded, %d retained, %d dropped, %d open at horizon\n",
-		t.nextID, t.rlen, t.droppedSpans.Value(), len(t.open))
-	fmt.Fprintf(&b, "edges        %d retained, %d dropped\n", len(t.edges), t.DroppedEdges())
+		t.nextID, t.spans.len(), t.droppedSpans.Value(), len(t.open))
+	fmt.Fprintf(&b, "edges        %d retained, %d dropped\n", t.edges.len(), t.DroppedEdges())
 	if t.slackHist.Count() > 0 {
 		q := t.slackHist.Quantiles(0.5, 0.95, 0.99)
 		fmt.Fprintf(&b, "slack        mean %.3f  p50 %.3f  p95 %.3f  p99 %.3f (assigned, per release)\n",

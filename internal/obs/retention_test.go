@@ -1,39 +1,90 @@
 package obs_test
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
+// budgets are the retention budgets the eviction tests run under: far
+// below the span count, one entry, and sizes on both sides of the
+// store's 1024-entry chunk (1000 and 1500 are not chunk multiples).
+var budgets = []int{16, 1, 1000, 1024, 1025, 1500}
+
+// latenessSeries is the exposition of the series fed at span close.
+func latenessSeries(t *testing.T, tel *obs.Telemetry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tel.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var keep []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		for _, name := range []string{"sda_span_lateness", "sda_lateness_quantiles", "sda_latency_quantiles"} {
+			if strings.HasPrefix(line, name) {
+				keep = append(keep, line)
+			}
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
 // TestRingKeepsLatestSpans pins the retention policy: under a budget far
-// below the span count, the ring keeps the *latest* spans (ids form the
-// top of the id space), eviction is counted, and total accounting stays
-// exact.
+// below the span and edge counts, the stores keep the *latest* spans and
+// edges, oldest first, exactly as an unbounded run recorded them;
+// evictions are counted exactly; and open spans pushed out of the ring
+// still feed the lateness series at close.
 func TestRingKeepsLatestSpans(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Obs = obs.Options{Enabled: true, MaxSpans: 16}
-	_, tel := runObserved(t, cfg, 3)
+	cfg.Obs = obs.Options{Enabled: true}
+	_, full := runObserved(t, cfg, 3)
+	allSpans, allEdges := full.Spans(), full.Edges()
+	total := full.TotalSpans()
+	if full.DroppedSpans() != 0 || total != uint64(len(allSpans)) {
+		t.Fatalf("reference run evicted spans: %d of %d retained", len(allSpans), total)
+	}
+	for _, budget := range budgets {
+		cfg.Obs = obs.Options{Enabled: true, MaxSpans: budget}
+		_, tel := runObserved(t, cfg, 3)
 
-	spans := tel.Spans()
-	if len(spans) > 16 {
-		t.Fatalf("retained %d spans, budget 16", len(spans))
-	}
-	total := tel.TotalSpans()
-	if total <= 16 {
-		t.Fatalf("run too small to exercise eviction: %d spans", total)
-	}
-	if got := tel.DroppedSpans(); got != total-uint64(len(spans)) {
-		t.Fatalf("dropped %d, want total-retained = %d", got, total-uint64(len(spans)))
-	}
-	// Keep-latest: retained ids are exactly the top of the id space, in
-	// release order.
-	for i, rec := range spans {
-		want := total - uint64(len(spans)) + uint64(i) + 1
-		if rec.ID != want {
-			t.Fatalf("span %d: id %d, want %d (latest-span retention)", i, rec.ID, want)
+		spans := tel.Spans()
+		if len(spans) != budget {
+			t.Fatalf("budget %d: retained %d spans", budget, len(spans))
+		}
+		if tel.TotalSpans() != total || total <= uint64(budget) {
+			t.Fatalf("budget %d: %d spans recorded, reference %d", budget, tel.TotalSpans(), total)
+		}
+		if got := tel.DroppedSpans(); got != total-uint64(budget) {
+			t.Fatalf("budget %d: dropped %d spans, want total-retained = %d", budget, got, total-uint64(budget))
+		}
+		// Keep-latest: retained ids are exactly the top of the id space,
+		// in release order, and each span is the reference run's.
+		for i, rec := range spans {
+			if want := total - uint64(budget) + uint64(i) + 1; rec.ID != want {
+				t.Fatalf("budget %d: span %d: id %d, want %d (latest-span retention)", budget, i, rec.ID, want)
+			}
+		}
+		if !reflect.DeepEqual(spans, allSpans[len(allSpans)-budget:]) {
+			t.Fatalf("budget %d: retained spans differ from the reference run's latest", budget)
+		}
+
+		edges := tel.Edges()
+		if len(allEdges) <= budget || len(edges) != budget {
+			t.Fatalf("budget %d: retained %d of %d edges", budget, len(edges), len(allEdges))
+		}
+		if !reflect.DeepEqual(edges, allEdges[len(allEdges)-budget:]) {
+			t.Fatalf("budget %d: retained edges differ from the reference run's latest", budget)
+		}
+		if got, want := tel.DroppedEdges()-full.DroppedEdges(), uint64(len(allEdges)-budget); got != want {
+			t.Fatalf("budget %d: %d edges evicted, want %d", budget, got, want)
+		}
+
+		if got, want := latenessSeries(t, tel), latenessSeries(t, full); got != want {
+			t.Fatalf("budget %d: lateness series depend on eviction:\n%s\nwant:\n%s", budget, got, want)
 		}
 	}
 }
@@ -49,13 +100,14 @@ func TestGlobalCountsSurviveEviction(t *testing.T) {
 		return tel.GlobalCounts()
 	}
 	rBig, mBig := run(1 << 16)
-	rTiny, mTiny := run(8)
-	if rBig != rTiny || mBig != mTiny {
-		t.Fatalf("global counts changed with retention budget: (%d,%d) vs (%d,%d)",
-			rBig, mBig, rTiny, mTiny)
-	}
 	if rBig == 0 {
 		t.Fatalf("no globals resolved")
+	}
+	for _, budget := range append([]int{8}, budgets...) {
+		if r, m := run(budget); r != rBig || m != mBig {
+			t.Fatalf("global counts changed with retention budget %d: (%d,%d) vs (%d,%d)",
+				budget, rBig, mBig, r, m)
+		}
 	}
 }
 
@@ -78,6 +130,11 @@ func TestExemplarsSurviveEviction(t *testing.T) {
 	// eviction, so the sets must be identical.
 	if !reflect.DeepEqual(tight, loose) {
 		t.Fatalf("exemplar selection depends on the ring budget:\ntight: %v\nloose: %v", tight, loose)
+	}
+	for _, budget := range budgets {
+		if _, ex := run(budget); !reflect.DeepEqual(ex, loose) {
+			t.Fatalf("exemplar selection depends on the ring budget %d", budget)
+		}
 	}
 	// Bounded: at most 4 kinds x 2 classes x K.
 	if len(tight) > 4*2*4 {

@@ -19,18 +19,19 @@ type Probe struct {
 }
 
 // Sampler snapshots a set of probes on a fixed sim-time cadence into
-// preallocated ring buffers: once armed it allocates nothing per tick,
-// and when the run outlives the ring capacity the oldest samples are
-// overwritten, keeping the most recent window.
+// ring buffers: storage grows in fixed chunks up to the ring capacity,
+// after which a tick allocates nothing, and when the run outlives the
+// capacity the oldest samples are overwritten, keeping the most recent
+// window.
 type Sampler struct {
 	every  simtime.Duration
 	probes []Probe
 
-	times []float64   // ring of sample instants
-	vals  [][]float64 // per-probe rings, same geometry as times
-	head  int         // next write position
-	n     int         // occupied slots (<= cap)
-	ticks uint64      // total ticks fired (>= n when the ring wrapped)
+	// times holds the sample instants and vals[i] probe i's readings.
+	// They are pushed in lockstep, so position j of each is one row.
+	times ring[float64]
+	vals  []ring[float64]
+	ticks uint64 // total ticks fired (>= retained when the ring wrapped)
 
 	// onTick, when set, runs after each sample on the simulation
 	// goroutine. Like probes it must not mutate model state; the live
@@ -41,16 +42,17 @@ type Sampler struct {
 // SetOnTick registers fn to run after every sample. Pass nil to clear.
 func (s *Sampler) SetOnTick(fn func(now simtime.Time)) { s.onTick = fn }
 
-// newSampler preallocates rings for cap samples of the given probes.
+// newSampler returns a sampler retaining up to capacity samples of the
+// given probes.
 func newSampler(every simtime.Duration, capacity int, probes []Probe) *Sampler {
 	s := &Sampler{
 		every:  every,
 		probes: probes,
-		times:  make([]float64, capacity),
-		vals:   make([][]float64, len(probes)),
+		times:  ring[float64]{max: capacity},
+		vals:   make([]ring[float64], len(probes)),
 	}
 	for i := range s.vals {
-		s.vals[i] = make([]float64, capacity)
+		s.vals[i].max = capacity
 	}
 	return s
 }
@@ -83,16 +85,9 @@ func (s *Sampler) arm(eng *des.Engine, horizon simtime.Time) error {
 // sample records one snapshot at instant now.
 func (s *Sampler) sample(now simtime.Time) {
 	s.ticks++
-	s.times[s.head] = float64(now)
+	s.times.push(float64(now))
 	for i, p := range s.probes {
-		s.vals[i][s.head] = p.Read()
-	}
-	s.head++
-	if s.head == len(s.times) {
-		s.head = 0
-	}
-	if s.n < len(s.times) {
-		s.n++
+		s.vals[i].push(p.Read())
 	}
 	if s.onTick != nil {
 		s.onTick(now)
@@ -103,17 +98,7 @@ func (s *Sampler) sample(now simtime.Time) {
 func (s *Sampler) Ticks() uint64 { return s.ticks }
 
 // Len returns the number of retained samples (after ring eviction).
-func (s *Sampler) Len() int { return s.n }
-
-// at returns the i-th retained sample (0 = oldest) as (time, row index
-// into the rings).
-func (s *Sampler) at(i int) (float64, int) {
-	idx := i
-	if s.n == len(s.times) { // wrapped: oldest sits at head
-		idx = (s.head + i) % s.n
-	}
-	return s.times[idx], idx
-}
+func (s *Sampler) Len() int { return s.times.len() }
 
 // Series returns the retained time axis and the values of the named
 // probe, oldest first. It returns nil slices for an unknown name.
@@ -128,12 +113,11 @@ func (s *Sampler) Series(name string) (times, values []float64) {
 	if pi < 0 {
 		return nil, nil
 	}
-	times = make([]float64, s.n)
-	values = make([]float64, s.n)
-	for i := 0; i < s.n; i++ {
-		t, idx := s.at(i)
-		times[i] = t
-		values[i] = s.vals[pi][idx]
+	times = make([]float64, s.Len())
+	values = make([]float64, s.Len())
+	for i := range times {
+		times[i] = *s.times.nth(i)
+		values[i] = *s.vals[pi].nth(i)
 	}
 	return times, values
 }
@@ -158,12 +142,11 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 		b.WriteString(p.Name)
 	}
 	b.WriteByte('\n')
-	for i := 0; i < s.n; i++ {
-		t, idx := s.at(i)
-		b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		for pi := range s.probes {
+	for i := 0; i < s.Len(); i++ {
+		b.WriteString(strconv.FormatFloat(*s.times.nth(i), 'g', -1, 64))
+		for pi := range s.vals {
 			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(s.vals[pi][idx], 'g', -1, 64))
+			b.WriteString(strconv.FormatFloat(*s.vals[pi].nth(i), 'g', -1, 64))
 		}
 		b.WriteByte('\n')
 	}

@@ -199,15 +199,39 @@ func (s *span) record() Record {
 	}
 	if !s.open {
 		rec.End = F(s.end)
-		if !s.abort {
-			judge := s.vdl
-			if s.hasRDL {
-				judge = s.realDL
-			}
-			rec.Lateness = F(s.end - judge)
-		}
+	}
+	if l, ok := s.lateness(); ok {
+		rec.Lateness = F(l)
 	}
 	return rec
+}
+
+// edge is the in-memory form of one causal edge; it converts to a Record
+// at export time.
+type edge struct {
+	kind, task     string
+	from, to, root uint64
+	rep            int
+	at             float64
+}
+
+// record converts the edge to its serialized form, storing the instant
+// in *at, so a caller rendering many edges boxes their instants in one
+// allocation.
+func (e *edge) record(at *float64) Record {
+	*at = e.at
+	return Record{
+		Schema: SchemaVersion,
+		Type:   "edge",
+		Kind:   e.kind,
+		Task:   e.task,
+		Node:   -1,
+		ID:     e.to,
+		Root:   e.root,
+		Rep:    e.rep,
+		At:     at,
+		From:   e.from,
+	}
 }
 
 // lateness returns the span's lateness (end minus judging deadline) and
@@ -229,8 +253,8 @@ func (s *span) lateness() (float64, bool) {
 // written without End/Lateness. When the ring has wrapped, only the
 // latest MaxSpans spans remain; DroppedSpans counts the evicted ones.
 func (t *Telemetry) WriteSpans(w io.Writer) error {
-	for i := 0; i < t.rlen; i++ {
-		if err := WriteRecord(w, t.ring[t.slot(i)].record()); err != nil {
+	for i := 0; i < t.spans.len(); i++ {
+		if err := WriteRecord(w, t.spans.nth(i).record()); err != nil {
 			return fmt.Errorf("obs: write span %d: %w", i, err)
 		}
 	}
@@ -240,8 +264,9 @@ func (t *Telemetry) WriteSpans(w io.Writer) error {
 // WriteEdges writes the retained causal-edge log, oldest first, as
 // JSONL.
 func (t *Telemetry) WriteEdges(w io.Writer) error {
-	for i := 0; i < len(t.edges); i++ {
-		if err := WriteRecord(w, t.edges[(t.estart+i)%len(t.edges)]); err != nil {
+	var at float64
+	for i := 0; i < t.edges.len(); i++ {
+		if err := WriteRecord(w, t.edges.nth(i).record(&at)); err != nil {
 			return fmt.Errorf("obs: write edge %d: %w", i, err)
 		}
 	}
@@ -255,7 +280,7 @@ func (t *Telemetry) Spans() []Record {
 }
 
 // SpanCount returns how many spans are currently retained in the ring.
-func (t *Telemetry) SpanCount() int { return t.rlen }
+func (t *Telemetry) SpanCount() int { return t.spans.len() }
 
 // TotalSpans returns how many spans were ever recorded, retained or not.
 func (t *Telemetry) TotalSpans() uint64 { return t.nextID }
@@ -265,13 +290,14 @@ func (t *Telemetry) TotalSpans() uint64 { return t.nextID }
 // observability hub uses it so a per-tick snapshot costs O(n) in the
 // ring size rather than O(total spans recorded).
 func (t *Telemetry) SpansTail(n int) []Record {
+	held := t.spans.len()
 	start := 0
-	if n > 0 && n < t.rlen {
-		start = t.rlen - n
+	if n > 0 && n < held {
+		start = held - n
 	}
-	out := make([]Record, 0, t.rlen-start)
-	for i := start; i < t.rlen; i++ {
-		out = append(out, t.ring[t.slot(i)].record())
+	out := make([]Record, 0, held-start)
+	for i := start; i < held; i++ {
+		out = append(out, t.spans.nth(i).record())
 	}
 	return out
 }

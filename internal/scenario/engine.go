@@ -92,7 +92,7 @@ func runWith(sc *Scenario, o obs.Options, onSystem func(*sim.System)) (*Outcome,
 		return nil, nil, err
 	}
 	chk := NewChecker(sc.Assert.AllowEarlyVDL)
-	tr := trace.New()
+	tr := trace.NewDigest()
 	cfg.Observer = node.CombineObservers(tr, chk)
 	cfg.ReleaseHook = chk.OnRelease
 	cfg.Obs = o

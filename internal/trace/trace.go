@@ -1,18 +1,19 @@
-// Package trace records per-node scheduling events from a simulation and
-// renders them for humans: an event log, per-node Gantt charts, and
-// queue-length time series. It implements node.Observer, so attaching a
-// tracer is one option on node construction:
+// Package trace observes per-node scheduling events from a simulation.
+// Both observers implement node.Observer, so attaching one is an option
+// on node construction:
 //
-//	tr := trace.New()
-//	n := node.New(0, eng, node.WithObserver(tr))
+//	d := trace.NewDigest()
+//	n := node.New(0, eng, node.WithObserver(d))
 //
-// Tracing is intended for small demonstration runs (the Gantt chart is
-// ASCII art); production experiments leave it off.
+// Digest streams every event into a SHA-256 hash as it fires and keeps
+// no log; the scenario harness hashes every golden run through it.
+// Tracer additionally keeps the full event log and renders it for
+// humans: an event log, per-node ASCII Gantt charts, queue-length time
+// series and JSON lines. Its memory grows with the run, so it suits
+// demonstration runs.
 package trace
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -62,49 +63,31 @@ type Event struct {
 	Boost   bool
 }
 
-// itemKey identifies one incarnation of a (possibly pooled) item: nodes
-// recycle Item records, so a bare pointer would alias successive tasks.
-// The generation tag disambiguates them.
-type itemKey struct {
-	it  *node.Item
-	gen uint32
-}
-
-// Tracer collects events. The zero value is not usable; call New.
+// Tracer collects events for the human renderings. It embeds a Digest,
+// so Hash and Len cover the same stream. The zero value is not usable;
+// call New.
 type Tracer struct {
+	Digest
 	events []Event
-	names  map[itemKey]string
-	nextID int
 }
 
 var _ node.Observer = (*Tracer)(nil)
 
 // New returns an empty tracer.
 func New() *Tracer {
-	return &Tracer{names: make(map[itemKey]string)}
-}
-
-// taskName labels an item; unnamed tasks get stable generated labels.
-func (tr *Tracer) taskName(it *node.Item) string {
-	if it.Task.Name != "" {
-		return it.Task.Name
-	}
-	k := itemKey{it, it.Generation()}
-	if name, ok := tr.names[k]; ok {
-		return name
-	}
-	name := fmt.Sprintf("t%d", tr.nextID)
-	tr.nextID++
-	tr.names[k] = name
-	return name
+	return &Tracer{Digest: *NewDigest()}
 }
 
 func (tr *Tracer) record(kind Kind, n *node.Node, it *node.Item, at simtime.Time) {
+	name := it.Task.Name
+	if id := tr.Digest.record(kind, n, it, at); id >= 0 {
+		name = "t" + strconv.Itoa(id)
+	}
 	tr.events = append(tr.events, Event{
 		Kind:    kind,
 		Node:    n.ID(),
 		At:      at,
-		Task:    tr.taskName(it),
+		Task:    name,
 		Virtual: it.Task.VirtualDeadline,
 		Boost:   it.Task.PriorityBoost,
 	})
@@ -140,36 +123,6 @@ func (tr *Tracer) Events() []Event {
 	out := make([]Event, len(tr.events))
 	copy(out, tr.events)
 	return out
-}
-
-// Len returns the number of recorded events.
-func (tr *Tracer) Len() int { return len(tr.events) }
-
-// Hash returns a hex digest over the full event trace in a canonical,
-// full-precision serialization. Two runs of the same deterministic model
-// produce identical hashes; any divergence in event order, timing, task
-// identity, deadline assignment or boost flag changes the digest. The
-// scenario harness uses it for golden-trace regression tests.
-func (tr *Tracer) Hash() string {
-	h := sha256.New()
-	var buf []byte
-	for _, e := range tr.events {
-		buf = buf[:0]
-		buf = strconv.AppendInt(buf, int64(e.Kind), 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(e.Node), 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendFloat(buf, float64(e.At), 'g', 17, 64)
-		buf = append(buf, '|')
-		buf = append(buf, e.Task...)
-		buf = append(buf, '|')
-		buf = strconv.AppendFloat(buf, float64(e.Virtual), 'g', 17, 64)
-		buf = append(buf, '|')
-		buf = strconv.AppendBool(buf, e.Boost)
-		buf = append(buf, '\n')
-		h.Write(buf)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // Log renders the raw event log.
@@ -222,11 +175,18 @@ func (tr *Tracer) segments() []segment {
 	for k, start := range open {
 		segs = append(segs, segment{k.node, k.task, start, last})
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].node != segs[j].node {
-			return segs[i].node < segs[j].node
+	// The open segments came out of a map, so the order must not depend
+	// on the input order: two items that started together on a
+	// multi-server node differ only by task.
+	sort.SliceStable(segs, func(i, j int) bool {
+		a, b := segs[i], segs[j]
+		if a.node != b.node {
+			return a.node < b.node
 		}
-		return segs[i].start < segs[j].start
+		if a.start != b.start {
+			return a.start < b.start
+		}
+		return a.task < b.task
 	})
 	return segs
 }
@@ -313,7 +273,12 @@ func (tr *Tracer) Gantt(from, to simtime.Time, width int) string {
 	for task, c := range letters {
 		legend = append(legend, entry{task, c})
 	}
-	sort.Slice(legend, func(i, j int) bool { return legend[i].letter < legend[j].letter })
+	sort.Slice(legend, func(i, j int) bool {
+		if legend[i].letter != legend[j].letter {
+			return legend[i].letter < legend[j].letter
+		}
+		return legend[i].task < legend[j].task
+	})
 	for _, e := range legend {
 		fmt.Fprintf(&b, "  %c = %s\n", e.letter, e.task)
 	}

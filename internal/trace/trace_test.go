@@ -137,6 +137,39 @@ func TestGanttRendersSegments(t *testing.T) {
 	}
 }
 
+// TestGanttDeterministicOnMultiServer renders two items that started
+// together on a two-server node and are still in service when the trace
+// ends: their letters, legend and overlap winner must not vary between
+// renders.
+func TestGanttDeterministicOnMultiServer(t *testing.T) {
+	eng := des.New()
+	tr := New()
+	n := node.New(0, eng, node.WithObserver(tr), node.WithServers(2))
+	for _, name := range []string{"p", "q"} {
+		if err := n.Submit(mkItem(t, name, 50, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A third arrival waits for a server and moves the trace end to 3.
+	if _, err := eng.At(3, func() {
+		if err := n.Submit(mkItem(t, "r", 50, 1)); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(5)
+	first := tr.Gantt(0, 4, 20)
+	for i := 0; i < 50; i++ {
+		if got := tr.Gantt(0, 4, 20); got != first {
+			t.Fatalf("render %d differs:\n%s\nvs first:\n%s", i, got, first)
+		}
+	}
+	if !strings.Contains(first, "a = p") || !strings.Contains(first, "b = q") {
+		t.Errorf("letters not assigned in task order:\n%s", first)
+	}
+}
+
 func TestGanttEmptyAndDegenerate(t *testing.T) {
 	tr := New()
 	if got := tr.Gantt(0, 10, 40); !strings.Contains(got, "empty") {
@@ -279,5 +312,38 @@ func TestHashDeterministicAndSensitive(t *testing.T) {
 	}
 	if New().Hash() == h1 {
 		t.Error("empty trace hash collides with non-empty trace")
+	}
+}
+
+// BenchmarkTraceDigest measures one pooled item's life cycle (enqueue,
+// start, finish: three hashed events) with an unnamed task, so every
+// incarnation takes a fresh generated label. Over a warmed item pool
+// the digest allocates nothing.
+func BenchmarkTraceDigest(b *testing.B) {
+	n := node.New(0, des.New())
+	d := NewDigest()
+	tk := task.MustSimple("", 0, 1)
+	tk.VirtualDeadline = 7.25
+	live := make([]*node.Item, 256)
+	for i := range live {
+		live[i] = n.AcquireItem(tk)
+	}
+	lifecycle := func(i int) {
+		k := i % len(live)
+		n.RecycleItem(live[k])
+		it := n.AcquireItem(tk)
+		live[k] = it
+		at := simtime.Time(i) / 2
+		d.OnEnqueue(n, it, at)
+		d.OnStart(n, it, at)
+		d.OnFinish(n, it, at+1)
+	}
+	for i := 0; i < 2*len(live); i++ {
+		lifecycle(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lifecycle(i)
 	}
 }
